@@ -135,27 +135,26 @@ def test_bench_engine_speedup(benchmark, save_report):
 
 # --- topology family throughput --------------------------------------------------------
 #
-# One timed row per topology class at a matched 16-endpoint budget, on
-# each topology's best supported engine.  Rows append to the same
+# One timed row per topology class at a matched 16-endpoint budget, all
+# on the fast engine.  Rows append to the same
 # BENCH_noc_traffic.json trajectory as the engine-speedup record, so a
 # routing-table or adjacency regression that slows one family member
 # shows up across commits.
 
 TOPOLOGY_BENCH = [
-    ("mesh", ("mesh", 4, {}), "fast"),
-    ("cmesh", ("cmesh", 2, {"concentration": 4}), "fast"),
-    ("torus", ("torus", 4, {}), "fast"),
-    ("chiplet", ("chiplet", 2, {"chiplets_x": 2, "chiplets_y": 2}),
-     "reference"),
+    ("mesh", ("mesh", 4, {})),
+    ("cmesh", ("cmesh", 2, {"concentration": 4})),
+    ("torus", ("torus", 4, {})),
+    ("chiplet", ("chiplet", 2, {"chiplets_x": 2, "chiplets_y": 2})),
 ]
 
 
 def _measure_topologies(rate, seed, warm, cycles):
     rows = {}
-    for name, (kind, k, kwargs), engine in TOPOLOGY_BENCH:
+    for name, (kind, k, kwargs) in TOPOLOGY_BENCH:
         topology = build_topology(kind, k, **kwargs)
         traffic = SyntheticTraffic(topology, rate, "uniform", seed=seed)
-        sim = NocSimulator(topology, traffic=traffic, seed=seed, engine=engine)
+        sim = NocSimulator(topology, traffic=traffic, seed=seed, engine="fast")
         sim.stats.measure_start, sim.stats.measure_end = 0, 10**9
         for _ in range(warm):
             sim.step()
@@ -164,7 +163,7 @@ def _measure_topologies(rate, seed, warm, cycles):
             sim.step()
         elapsed = time.perf_counter() - t0
         rows[name] = {
-            "engine": engine,
+            "engine": sim.engine,
             "n_nodes": len(topology.nodes()),
             "cycles_per_sec": cycles / elapsed,
             "us_per_cycle": 1e6 * elapsed / cycles,
@@ -188,6 +187,7 @@ def test_bench_topology_family(benchmark, save_report):
     record = {
         "kind": "topology-family",
         "rows": rows,
+        "host_cpus": os.cpu_count(),
         "full": FULL,
         "unix_time": round(time.time(), 1),
     }

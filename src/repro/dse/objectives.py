@@ -306,8 +306,7 @@ class NocTopologyEvaluator:
             size_flits=self.size_flits,
             seed=seed,
         )
-        engine = "fast" if topology.supports_fast_engine else "reference"
-        sim = NocSimulator(topology, traffic=traffic, seed=seed, engine=engine)
+        sim = NocSimulator(topology, traffic=traffic, seed=seed, engine="fast")
         try:
             sim.run(warmup=self.warmup, measure=self.measure)
         except LivelockError as exc:

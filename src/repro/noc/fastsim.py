@@ -7,8 +7,12 @@ cycle loop the dominant wall-clock cost of every traffic-driven workload
 (fault campaigns, DSE objectives, the energy-density recast).  This
 module re-implements the *same machine* on a struct-of-arrays layout:
 
-* all input-VC FIFOs of the whole mesh live in preallocated flat ring
-  buffers indexed by ``slot = (router * 5 + port) * n_vcs + vc``
+* all input-VC FIFOs of the whole network live in preallocated flat
+  ring buffers indexed by ``slot = (router * P + port) * n_vcs + vc``,
+  where ``P`` is the topology's router radix (1 + the largest port
+  index any router has: 5 on mesh, torus and cmesh, 6 on the chiplet
+  NoC/NoI with its ``PORT_UP`` uplinks); routers with fewer ports keep
+  padded slots that never receive a flit
   (``_ring_ready``, ``_ring_flags``, ``_ring_dest``, ``_ring_flit``);
 * credit counters and downstream-VC ownership are flat arrays indexed
   receiver-side (the credit for input buffer ``s`` *is* ``_credits[s]``,
@@ -57,12 +61,13 @@ fault channels) is sequenced exactly as the reference sequences it; the
 differential suite ``tests/test_noc_fastsim_parity.py`` locks the claim
 down, and ``docs/NOC_FASTSIM.md`` documents the phase mapping.
 
-Scope: unicast traffic only (any pattern, any mesh size, O1TURN, bypass,
-multi-flit worms, every fault model and protection protocol).  Multicast
-forks keep a flit resident across several switch grants, which the flat
-front-state cache does not model; construction rejects multicast traffic
-and injection rejects multicast packets loudly so a fall-back to the
-reference engine is always a deliberate, visible choice.
+Scope: unicast traffic on every topology kind (mesh, cmesh, torus,
+chiplet; any pattern, any size, O1TURN, bypass, multi-flit worms, every
+fault model and protection protocol).  Multicast forks keep a flit
+resident across several switch grants, which the flat front-state cache
+does not model; construction rejects multicast traffic and injection
+rejects multicast packets loudly so a fall-back to the reference engine
+is always a deliberate, visible choice.
 """
 
 from __future__ import annotations
@@ -74,7 +79,6 @@ from repro.noc.stats import DeliveryRecord
 from repro.noc.simulator import NocSimulator
 from repro.noc.topology import Port
 
-_P = 5  # ports per router (LOCAL + 4 compass directions)
 _LOCAL = int(Port.LOCAL)
 
 #: Flag bits of ``_ring_flags`` (and the ``fl`` words threaded through
@@ -82,11 +86,6 @@ _LOCAL = int(Port.LOCAL)
 _F_HEAD = 1
 _F_TAIL = 2
 _F_YX = 4
-
-#: Crosspoint keys by integer port pair (avoids enum construction and
-#: tuple allocation per flit; the keys are the same Port objects the
-#: reference records).
-_PORT_PAIRS = tuple(tuple((a, b) for b in Port) for a in Port)
 
 
 class FastNocSimulator(NocSimulator):
@@ -128,21 +127,27 @@ class FastNocSimulator(NocSimulator):
             pattern=pattern,
             seed=seed,
         )
-        if not self.topology.supports_fast_engine:
+        # Router radix: one slot column per port index any router has.
+        # The port objects themselves (Port members, or the chiplet's
+        # int PORT_UP) are kept by index so crosspoint keys and error
+        # messages match the reference router's.
+        port_objs: dict[int, object] = {}
+        for node in self.topology.nodes():
+            for port in self.topology.node_ports(node):
+                port_objs.setdefault(int(port), port)
+        self._P = P = 1 + max(port_objs)
+        if min(port_objs) < 0:
             raise ConfigurationError(
-                f"engine='fast' does not support the {self.topology.kind} "
-                "topology; use the reference engine (NocSimulator falls "
-                "back automatically with an EngineFallbackWarning)"
+                f"engine='fast' needs non-negative port indices; the "
+                f"{self.topology.kind} topology has {sorted(port_objs)}"
             )
-        ports_seen = {
-            tuple(int(p) for p in self.topology.node_ports(node))
-            for node in self.topology.nodes()
-        }
-        if ports_seen != {(0, 1, 2, 3, 4)}:
-            raise ConfigurationError(
-                f"engine='fast' requires a uniform 5-port radix; the "
-                f"{self.topology.kind} topology has port sets {ports_seen}"
-            )
+        # Index gaps (a radix no router fills) become padded slots.
+        self._ports = tuple(port_objs.get(i, i) for i in range(P))
+        #: Crosspoint keys by integer port pair (avoids enum
+        #: construction and tuple allocation per flit).
+        self._port_pairs = tuple(
+            tuple((a, b) for b in self._ports) for a in self._ports
+        )
         if getattr(self.traffic, "multicast_fraction", 0.0):
             raise ConfigurationError(
                 "engine='fast' supports unicast traffic only; use the "
@@ -167,7 +172,8 @@ class FastNocSimulator(NocSimulator):
         self._node_index = {node: i for i, node in enumerate(self._nodes)}
         R = len(self._nodes)
         self._R = R
-        N = R * _P * V
+        P = self._P
+        N = R * P * V
 
         # Input-VC ring buffers, flat over (router, port, vc, slot).
         self._ring_ready = [0] * (N * C)
@@ -192,8 +198,8 @@ class FastNocSimulator(NocSimulator):
         #: Total buffered flits (= sum of ``_count``), for drain checks.
         self._buffered_total = 0
         #: Slot -> (router, input port) decode tables for the scan.
-        self._slot_router = [s // (_P * V) for s in range(N)]
-        self._slot_port = [s // V % _P for s in range(N)]
+        self._slot_router = [s // (P * V) for s in range(N)]
+        self._slot_port = [s // V % P for s in range(N)]
 
         # Flow control, receiver-indexed: _credits[s] is the upstream
         # credit counter for input buffer s; _owned[s] is the upstream
@@ -211,14 +217,14 @@ class FastNocSimulator(NocSimulator):
         self._fr_vc = [-1] * N
 
         # Round-robin arbiter pointers, per (router, port).
-        self._va_ptr = [[0] * _P for _ in range(R)]
-        self._sa_in_ptr = [[0] * _P for _ in range(R)]
-        self._sa_out_ptr = [[0] * _P for _ in range(R)]
+        self._va_ptr = [[0] * P for _ in range(R)]
+        self._sa_in_ptr = [[0] * P for _ in range(R)]
+        self._sa_out_ptr = [[0] * P for _ in range(R)]
 
         # Topology wiring: output (r, port) -> downstream input slot
         # base and link index; link -> destination input slot base.
-        self._out_target = [[-1] * _P for _ in range(R)]
-        self._link_of = [[-1] * _P for _ in range(R)]
+        self._out_target = [[-1] * P for _ in range(R)]
+        self._link_of = [[-1] * P for _ in range(R)]
         self._link_dst_base = [0] * len(self.links)
         # self.links was built from directed_links() in the same order,
         # so zipping recovers each link's output port without assuming a
@@ -230,7 +236,7 @@ class FastNocSimulator(NocSimulator):
         ):
             r = self._node_index[link.src]
             dst_r = self._node_index[link.dst.node]
-            dst_base = (dst_r * _P + int(link.dst.port)) * V
+            dst_base = (dst_r * P + int(link.dst.port)) * V
             self._out_target[r][int(out_port)] = dst_base
             self._link_of[r][int(out_port)] = li
             self._link_dst_base[li] = dst_base
@@ -388,7 +394,8 @@ class FastNocSimulator(NocSimulator):
         stats = self.stats
         V = self._V
         C = self._C
-        PV = _P * V
+        P = self._P
+        PV = P * V
         bypass = self._bypass
         plat = self._plat
         credits = self._credits
@@ -585,7 +592,7 @@ class FastNocSimulator(NocSimulator):
             if wh_port[s] == out_p and wh_vc[s] != -1:
                 continue  # wormhole continuation (head edge case)
             if req_rows is None:
-                req_rows = [None, None, None, None, None]
+                req_rows = [None] * P
                 req_ports = []
                 va_work.append((r, req_rows, req_ports))
             row = req_rows[out_p]
@@ -704,7 +711,7 @@ class FastNocSimulator(NocSimulator):
                 ob = targets[out_p]
                 if ob < 0:
                     raise ProtocolError(
-                        f"route to unconnected port {Port(out_p)} at "
+                        f"route to unconnected port {self._ports[out_p]} at "
                         f"{self._nodes[r]}"
                     )
                 n_req = len(requesters)
@@ -741,6 +748,7 @@ class FastNocSimulator(NocSimulator):
         memo_arrival = -1
         memo_bucket = None
         xbar_list = self._xbar_list
+        port_pairs = self._port_pairs
         sa_in_all = self._sa_in_ptr
         sa_out_all = self._sa_out_ptr
         link_of = self._link_of
@@ -804,7 +812,7 @@ class FastNocSimulator(NocSimulator):
             if len(nominations) == 1:
                 port_rows = ((nominations[0][4], nominations),)
             else:
-                out_rows = [None, None, None, None, None]
+                out_rows = [None] * P
                 for nom in nominations:
                     op = nom[4]
                     row = out_rows[op]
@@ -814,7 +822,7 @@ class FastNocSimulator(NocSimulator):
                         row.append(nom)
                 port_rows = [  # ascending port order
                     (op, out_rows[op])
-                    for op in (0, 1, 2, 3, 4)
+                    for op in range(P)
                     if out_rows[op] is not None
                 ]
             sa_out_ptr = sa_out_all[r]
@@ -892,10 +900,11 @@ class FastNocSimulator(NocSimulator):
                 # u-turn guard matches Crossbar.connect).
                 if in_p == out_p:
                     raise ProtocolError(
-                        f"u-turn through crossbar at port {Port(out_p)}"
+                        f"u-turn through crossbar at port "
+                        f"{self._ports[out_p]}"
                     )
                 xbar = xbar_list[r]
-                key = _PORT_PAIRS[in_p][out_p]
+                key = port_pairs[in_p][out_p]
                 xcounts = xbar.crosspoint_counts
                 xcounts[key] = xcounts.get(key, 0) + 1
                 xbar.traversals += 1

@@ -17,6 +17,7 @@ from repro.fault import (
     protection_crossover,
     run_fault_campaign,
 )
+from repro.fault.campaign import point_payload
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,42 @@ class TestPlumbing:
                 assert getattr(point, name) is not None
             assert not hasattr(point, "packet_ids")
             assert not hasattr(point, "timestamp")
+
+
+class TestChipletEngineParity:
+    """A chiplet NoC/NoI campaign runs on the fast engine (no fallback)
+    and reproduces the reference engine's points bitwise — the shape of
+    the layered benchmark's service campaign, shrunk."""
+
+    CONFIG = dict(
+        topology="chiplet",
+        k=2,
+        chiplets_x=2,
+        chiplets_y=2,
+        workload="bursty",
+        payload_mode="random",
+        coupling=True,
+        protocols=("none", "crc"),
+        bers=(1e-5, 1e-3),
+        warmup=30,
+        measure=150,
+        seed=7,
+    )
+
+    def test_fast_matches_reference_point_payloads(self):
+        fast = FaultCampaignConfig(engine="fast", **self.CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EngineFallbackWarning)
+            assert fast.effective_engine() == "fast"
+            fast_result = run_fault_campaign(fast)
+        reference = run_fault_campaign(
+            FaultCampaignConfig(engine="reference", **self.CONFIG)
+        )
+        fast_payloads = [point_payload(p) for p in fast_result.points]
+        assert fast_payloads == [
+            point_payload(p) for p in reference.points
+        ]
+        assert any(p["raw_faults"] for p in fast_payloads)
 
 
 class TestMulticastEngineFallback:

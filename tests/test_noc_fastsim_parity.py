@@ -15,9 +15,12 @@ little"; the comparison is exact equality.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import pytest
 
-from repro.errors import ConfigurationError, LivelockError
+from repro.errors import ConfigurationError, LivelockError, ProtocolError
 from repro.fault import (
     CompositeFault,
     DeadLinks,
@@ -27,6 +30,8 @@ from repro.fault import (
 )
 from repro.noc import (
     ENGINES,
+    PORT_UP,
+    ChipletNoc,
     FastNocSimulator,
     MeshTopology,
     NocConfig,
@@ -38,11 +43,23 @@ from repro.noc import (
 from repro.workload import build_traffic
 
 SEED = 7
+#: The two-level chiplet NoC/NoI the layered benchmark's campaign runs.
+CHIPLET_2X2 = ("chiplet", 2, {"chiplets_x": 2, "chiplets_y": 2})
+
+
+def _topology(spec):
+    """An int mesh radix, a (kind, k, builder kwargs) spec, or a Topology."""
+    if isinstance(spec, int):
+        return MeshTopology(spec)
+    if isinstance(spec, tuple):
+        kind, k, builder_kwargs = spec
+        return build_topology(kind, k, **builder_kwargs)
+    return spec
 
 
 def _build(engine, k, rate, pattern, size_flits=1, seed=SEED, **config_kwargs):
-    # ``k`` is an int mesh radix or a prebuilt Topology of any family.
-    topology = MeshTopology(k) if isinstance(k, int) else k
+    # ``k`` is anything _topology accepts.
+    topology = _topology(k)
     traffic = SyntheticTraffic(
         topology, rate, pattern, size_flits=size_flits, seed=seed
     )
@@ -75,6 +92,15 @@ def _fingerprint(sim):
         "per_link_payload": [
             (link.payload_transitions, link.coupling_events, link.last_word)
             for link in sim.links
+        ],
+        # repr() keeps the key types: the reference records Port members
+        # and the chiplet's int PORT_UP, and so must the fast engine.
+        "crosspoints": [
+            sorted(
+                (repr(a), repr(b), n)
+                for (a, b), n in sim.routers[node].crossbar.crosspoint_counts.items()
+            )
+            for node in sorted(sim.routers)
         ],
     }
 
@@ -158,11 +184,11 @@ def test_traffic_parity(k, rate, pattern, size_flits, config_kwargs):
 
 # --- topology-family matrix ------------------------------------------------------------
 #
-# Every fast-engine-supported topology class runs the same differential
-# check: the SoA engine must match the per-flit oracle bitwise on torus
-# wrap routes and concentrated-mesh endpoint traffic, exactly as on the
-# flat mesh.  (The chiplet NoC is reference-only; its fallback contract
-# is covered in tests/test_noc_topology_family.py.)
+# Every topology class runs the same differential check: the SoA engine
+# must match the per-flit oracle bitwise on torus wrap routes,
+# concentrated-mesh endpoint traffic and the chiplet NoC/NoI (whose
+# gateway and interface routers carry a sixth port, PORT_UP), exactly as
+# on the flat mesh.
 
 TOPOLOGY_CASES = [
     ("torus-k4-uniform-low", ("torus", 4, {}), 0.05, "uniform", 1, {}),
@@ -181,6 +207,14 @@ TOPOLOGY_CASES = [
      0.08, "uniform", 1, {}),
     ("cmesh-k2c4-worm2", ("cmesh", 2, {"concentration": 4}),
      0.05, "uniform", 2, {}),
+    ("chiplet-2x2-k2-worm2", ("chiplet", 2, {"chiplets_x": 2, "chiplets_y": 2}),
+     0.20, "uniform", 2, {"n_vcs": 2}),
+    ("chiplet-2x2-k3-worm2", ("chiplet", 3, {"chiplets_x": 2, "chiplets_y": 2}),
+     0.20, "uniform", 2, {"n_vcs": 2}),
+    ("chiplet-2x1-k2-worm2", ("chiplet", 2, {"chiplets_x": 2, "chiplets_y": 1}),
+     0.20, "uniform", 2, {"n_vcs": 2}),
+    ("chiplet-2x1-k3-worm2", ("chiplet", 3, {"chiplets_x": 2, "chiplets_y": 1}),
+     0.20, "uniform", 2, {"n_vcs": 2}),
 ]
 
 
@@ -190,13 +224,9 @@ TOPOLOGY_CASES = [
     ids=[case[0] for case in TOPOLOGY_CASES],
 )
 def test_topology_parity(spec, rate, pattern, size_flits, config_kwargs):
-    kind, k, builder_kwargs = spec
     results = []
     for engine in ENGINES:
-        topology = build_topology(kind, k, **builder_kwargs)
-        sim = _build(
-            engine, topology, rate, pattern, size_flits, **config_kwargs
-        )
+        sim = _build(engine, spec, rate, pattern, size_flits, **config_kwargs)
         sim.run(warmup=40, measure=200, drain_limit=20_000)
         results.append(_fingerprint(sim))
     reference, fast = results
@@ -218,6 +248,14 @@ TOPOLOGY_FAULT_CASES = [
         UniformBer(ber=1e-3),
         "crc",
     ),
+    ("chiplet-ber-crc", CHIPLET_2X2, UniformBer(ber=1e-3), "crc"),
+    ("chiplet-ber-e2e", CHIPLET_2X2, UniformBer(ber=1e-3), "e2e"),
+    (
+        "chiplet-dead-reroute",
+        CHIPLET_2X2,
+        DeadLinks(n_random=2, fail_cycle=50, mode="garbage"),
+        "reroute",
+    ),
 ]
 
 
@@ -227,11 +265,9 @@ TOPOLOGY_FAULT_CASES = [
     ids=[case[0] for case in TOPOLOGY_FAULT_CASES],
 )
 def test_topology_fault_parity(spec, model, protocol):
-    kind, k, builder_kwargs = spec
     results = []
     for engine in ENGINES:
-        topology = build_topology(kind, k, **builder_kwargs)
-        sim = _build(engine, topology, 0.06, "uniform", 2)
+        sim = _build(engine, spec, 0.06, "uniform", 2)
         layer = FaultLayer(
             model, ProtectionConfig(protocol=protocol), seed=13
         ).attach(sim)
@@ -313,6 +349,8 @@ WORKLOAD_CASES = [
      {"payload_mode": "worst_case"}),
     ("transpose-k4-random-payload", "synthetic", 4, 0.10,
      {"pattern": "transpose", "payload_mode": "random", "size_flits": 2}),
+    ("bursty-chiplet-random-payload", "bursty", CHIPLET_2X2, 0.10,
+     {"payload_mode": "random"}),
 ]
 
 
@@ -324,7 +362,7 @@ WORKLOAD_CASES = [
 def test_workload_parity(workload, k, rate, kwargs):
     results = []
     for engine in ENGINES:
-        topology = MeshTopology(k)
+        topology = _topology(k)
         traffic = build_traffic(
             topology, workload, injection_rate=rate, seed=SEED, **kwargs
         )
@@ -408,6 +446,45 @@ def test_engine_dispatch_returns_fast_subclass():
     assert isinstance(sim, FastNocSimulator)
     assert isinstance(sim, NocSimulator)
     assert type(_build("reference", 4, 0.05, "uniform")) is NocSimulator
+
+
+@dataclass(frozen=True)
+class _MisroutedChiplet(ChipletNoc):
+    """A chiplet NoC whose table sends core router (1, 1) up PORT_UP.
+
+    (1, 1) is not a gateway, so it has no uplink: the first head flit it
+    routes asks for an unconnected port.
+    """
+
+    @cached_property
+    def _table(self):
+        table = {
+            dest: dict(hops) for dest, hops in super().routing_table().items()
+        }
+        for dest, hops in table.items():
+            if dest != (1, 1):
+                hops[(1, 1)] = PORT_UP
+        return table
+
+    def routing_table(self):
+        return self._table
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_route_to_unconnected_up_port_raises_protocol_error(engine):
+    sim = _build(
+        engine, _MisroutedChiplet(chiplets_x=2, chiplets_y=1), 0.5, "uniform"
+    )
+    with pytest.raises(ProtocolError, match=r"unconnected port 5 at \(1, 1\)"):
+        sim.run(warmup=10, measure=100)
+
+
+def test_fast_engine_radix_follows_topology():
+    # Mesh-family routers keep the 5-port slot layout; the chiplet NoC
+    # adds PORT_UP as a sixth slot column on every router.
+    assert _build("fast", 4, 0.05, "uniform")._P == 5
+    assert _build("fast", ("torus", 4, {}), 0.05, "uniform")._P == 5
+    assert _build("fast", CHIPLET_2X2, 0.05, "uniform")._P == 6
 
 
 def test_unknown_engine_rejected():

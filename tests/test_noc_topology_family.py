@@ -29,6 +29,7 @@ from repro.noc import (
     ChipletNoc,
     ConcentratedMesh,
     EngineFallbackWarning,
+    FastNocSimulator,
     MeshTopology,
     NocSimulator,
     SyntheticTraffic,
@@ -298,16 +299,22 @@ def test_factory_rejects_bad_chiplet_shape():
 # --- engine contracts -------------------------------------------------------------------
 
 
-def test_chiplet_fast_engine_falls_back_with_warning():
+def test_chiplet_dispatches_to_fast_engine_without_warning():
     topo = ChipletNoc(chiplets_x=2, chiplets_y=1, chiplet_k=2)
-    with pytest.warns(EngineFallbackWarning, match="chiplet"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EngineFallbackWarning)
         sim = NocSimulator(topo, injection_rate=0.05, seed=SEED, engine="fast")
-    assert sim.engine == "reference"
-    assert type(sim) is NocSimulator
+    assert sim.engine == "fast"
+    assert type(sim) is FastNocSimulator
 
 
 def test_fast_engine_supported_topologies_dispatch_silently():
-    for topo in (MeshTopology(3), TorusTopology(3), ConcentratedMesh(2, c=2)):
+    for topo in (
+        MeshTopology(3),
+        TorusTopology(3),
+        ConcentratedMesh(2, c=2),
+        ChipletNoc(chiplets_x=2, chiplets_y=2, chiplet_k=2),
+    ):
         with warnings.catch_warnings():
             warnings.simplefilter("error", EngineFallbackWarning)
             sim = NocSimulator(
