@@ -5,10 +5,13 @@ Run:  PYTHONPATH=src python scripts/smoke_service.py [--lease-seconds S]
 
 The end-to-end acceptance check for the campaign service
 (docs/SERVICE.md): a small fault campaign is submitted to a fresh
-database, two worker processes start draining it, and one is SIGKILLed
-while it provably holds a lease — the hardest interrupt there is, no
-cleanup code runs.  The survivor waits out the dead worker's lease
-expiry, re-leases its row, and finishes the campaign.  The merged
+database, a victim worker starts draining it alone, and once it
+provably holds a lease a survivor worker starts and the victim is
+SIGKILLed — the hardest interrupt there is, no cleanup code runs.  The
+survivor waits out the dead worker's lease expiry, re-leases its row,
+and finishes the campaign.  (The victim starts first because a task
+takes milliseconds: two workers started together can drain the whole
+campaign before the victim's first lease.)  The merged
 result must be **bitwise identical** to an uninterrupted single-process
 ``run_fault_campaign`` baseline.  Exits nonzero on any mismatch.
 """
@@ -85,7 +88,7 @@ def main() -> int:
 
     deadline = time.monotonic() + args.timeout
     victim = spawn_worker(db_path, "victim", args.lease_seconds)
-    survivor = spawn_worker(db_path, "survivor", args.lease_seconds)
+    survivor = None
     try:
         # Kill the victim only once it provably holds a lease, so the
         # expiry-recovery path is genuinely exercised.
@@ -97,7 +100,8 @@ def main() -> int:
             if time.monotonic() > deadline:
                 print("FAIL: victim never leased a task", file=sys.stderr)
                 return 1
-            time.sleep(0.05)
+            time.sleep(0.01)
+        survivor = spawn_worker(db_path, "survivor", args.lease_seconds)
         victim.send_signal(signal.SIGKILL)
         victim.wait()
         orphaned = leased_by(db_path, "victim")
@@ -115,7 +119,7 @@ def main() -> int:
             return 1
     finally:
         for proc in (victim, survivor):
-            if proc.poll() is None:
+            if proc is not None and proc.poll() is None:
                 proc.kill()
 
     with CampaignDB(db_path) as db:

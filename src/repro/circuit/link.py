@@ -215,14 +215,14 @@ class SRLRLink:
         width = self.launch_width
         e_wire = 0.0
         e_internal = 0.0
-        for stage in self.stages:
+        for stage, e_stage in zip(self.stages, self._internal_energy):
             table = self._table(launch.r_up, launch.r_down)
             e_wire += vdd * launch.amplitude * table.charge_in(width)
             swing = table.peak_ratio(width) * launch.amplitude
             out = stage.transfer(swing, table.width_out(width))
             if not out.fired:
                 break
-            e_internal += self._stage_internal_energy(stage)
+            e_internal += e_stage
             width = out.out_width
             launch = out.launch
         return {
@@ -300,7 +300,7 @@ class SRLRLink:
                 stuck=True,
             )
 
-        for stage in self.stages:
+        for stage, e_stage in zip(self.stages, self._internal_energy):
             table = self._table(launch.r_up, launch.r_down)
             tau = table.decay_tau
             residual = 0.0
@@ -317,13 +317,13 @@ class SRLRLink:
             for k in range(n):
                 w = widths[k]
                 if w > 0.0:
-                    energy += vdd * launch.amplitude * table.charge_in(w)
-                    t_peak = table.t_peak(w)
+                    peak, w_out, t_peak, charge = table.at(w)
+                    energy += vdd * launch.amplitude * charge
                     residual_at_peak = residual * math.exp(
                         -min(t_peak, bit_period) / tau
                     )
-                    swing = table.peak_ratio(w) * launch.amplitude + residual_at_peak
-                    dwell = min(table.width_out(w), bit_period)
+                    swing = peak * launch.amplitude + residual_at_peak
+                    dwell = min(w_out, bit_period)
                 else:
                     # No pulse launched: the stage integrates the decaying
                     # residual baseline, which may still trip it (the
@@ -339,7 +339,7 @@ class SRLRLink:
                     if out.fired:
                         fired_bits[k] = 1
                         out_widths[k] = out.out_width
-                        energy += self._stage_internal_energy(stage)
+                        energy += e_stage
                         busy_until = (
                             ui_start + out.t_trip + stage.wx + d.reset_recovery
                         )

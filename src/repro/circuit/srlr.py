@@ -294,6 +294,25 @@ class StageOutput:
     t_trip: float  # X threshold-crossing time, seconds (inf if never)
 
 
+#: The two outcomes that carry no per-call data, shared by every call.
+_TOO_WEAK = StageOutput(
+    fired=False,
+    failure=StageFailure.TOO_WEAK,
+    out_width=0.0,
+    launch=None,
+    stage_delay=float("inf"),
+    t_trip=float("inf"),
+)
+_STUCK = StageOutput(
+    fired=False,
+    failure=StageFailure.STUCK,
+    out_width=0.0,
+    launch=None,
+    stage_delay=float("inf"),
+    t_trip=0.0,
+)
+
+
 @dataclass
 class SRLRStage:
     """One instantiated repeater: design + stage index + one die's variation.
@@ -431,28 +450,13 @@ class SRLRStage:
         ``in_dwell`` is the time the far-end waveform spends above half its
         peak: the window during which M1 meaningfully conducts.
         """
-        no_launch = StageOutput(
-            fired=False,
-            failure=StageFailure.TOO_WEAK,
-            out_width=0.0,
-            launch=None,
-            stage_delay=float("inf"),
-            t_trip=float("inf"),
-        )
         if not self.enabled:
-            return no_launch
+            return _TOO_WEAK
         if self.is_stuck:
-            return StageOutput(
-                fired=False,
-                failure=StageFailure.STUCK,
-                out_width=0.0,
-                launch=None,
-                stage_delay=float("inf"),
-                t_trip=0.0,
-            )
+            return _STUCK
         t_trip = self.trip_time(in_swing)
         if t_trip > in_dwell:
-            return no_launch
+            return _TOO_WEAK
 
         t_rise = self.rise_lag(in_swing) + self.t_intrinsic_rise
         out_width = self.wx - (t_rise - self.t_fall)

@@ -10,6 +10,12 @@ it builds the exact pi-ladder transient solver once, then answers peak
 swing / arrival time / output width queries for arbitrary input pulses by
 sampling the closed-form mode sum.  Instances are cached so Monte Carlo
 loops don't rebuild eigendecompositions.
+
+:class:`AttenuationTable` tabulates those answers on a log grid of input
+widths for the Monte Carlo inner loop.  Its rows are filled on demand,
+each from one pulse response read at the two nodes a row needs (node 0
+for the supply charge, the far node for the received pulse), so a table
+costs only the rows its queries bracket.
 """
 
 from __future__ import annotations
@@ -114,16 +120,23 @@ class AttenuationTable:
 
     Monte Carlo loops evaluate the stage map thousands of times; sampling
     the exact mode sum every time would dominate runtime.  This table
-    samples the exact solver once on a log grid of input pulse widths and
-    then answers queries by interpolation:
+    samples the exact solver on a log grid of input pulse widths and
+    answers queries by linear interpolation between grid rows:
 
     * ``peak_ratio(w)`` — far-end peak per volt of drive;
     * ``width_out(w)`` — far-end half-max width;
     * ``t_peak(w)`` — far-end peak arrival time;
     * ``charge_in(w)`` — charge drawn from the driver per volt of drive
       during the pulse (the exact supply-energy integrand);
+    * ``at(w)`` — the four above in one lookup;
     * ``decay_tau`` — dominant discharge time constant through the
       *pull-down* path (pass the pull-down resistance as ``r_decay``).
+
+    A grid row is filled on demand, the first time a query interpolates
+    from it: a query touches at most the two rows that bracket its width,
+    and Monte Carlo queries cluster around the launch width, so most rows
+    of most tables are never computed.  A row is a pure function of its
+    width, so values do not depend on the order of queries.
     """
 
     N_GRID = 28
@@ -139,39 +152,13 @@ class AttenuationTable:
             raise ConfigurationError("need 0 < w_min < w_max")
         self.transfer = transfer
         self._widths = np.geomspace(w_min, w_max, self.N_GRID)
-        peaks = np.empty(self.N_GRID)
-        wouts = np.empty(self.N_GRID)
-        tpeaks = np.empty(self.N_GRID)
-        charges = np.empty(self.N_GRID)
-        for i, w in enumerate(self._widths):
-            times, v_far = transfer.far_end_waveform(float(w), 1.0)
-            i_peak = int(np.argmax(v_far))
-            peaks[i] = v_far[i_peak]
-            tpeaks[i] = times[i_peak]
-            if v_far[i_peak] > 0.0:
-                above = np.flatnonzero(v_far >= 0.5 * v_far[i_peak])
-                wouts[i] = times[above[-1]] - times[above[0]]
-            else:
-                wouts[i] = 0.0
-            # Supply charge: integral of driver current during the high
-            # phase, i(t) = (1 - v_node0(t)) / r_up for unit amplitude.
-            v0 = transfer.solver.pulse_response(times, float(w), 1.0)[:, 0]
-            high = times <= w
-            i_drv = (1.0 - v0[high]) / transfer.r_drive
-            charges[i] = float(np.trapezoid(i_drv, times[high]))
-        self._peaks = peaks
-        self._wouts = wouts
-        self._tpeaks = tpeaks
-        self._charges = charges
-        # Plain-float copies for the scalar fast path: np.interp has ~4 us
-        # of per-call overhead that dominates Monte Carlo loops.
+        # Plain floats for the scalar fast path: np.interp has ~4 us of
+        # per-call overhead that dominates Monte Carlo loops.
         self._w_list = [float(w) for w in self._widths]
-        self._tables_list = {
-            id(peaks): [float(x) for x in peaks],
-            id(wouts): [float(x) for x in wouts],
-            id(tpeaks): [float(x) for x in tpeaks],
-            id(charges): [float(x) for x in charges],
-        }
+        #: (peak, width_out, t_peak, charge) per grid width; None until used.
+        self._rows: list[tuple[float, float, float, float] | None] = [
+            None
+        ] * self.N_GRID
         if r_decay is None:
             self.decay_tau = transfer.solver.slowest_time_constant
         else:
@@ -186,35 +173,80 @@ class AttenuationTable:
     def w_max(self) -> float:
         return float(self._widths[-1])
 
-    def _interp(self, table: np.ndarray, width: float) -> float:
+    @property
+    def rows_filled(self) -> int:
+        """How many grid rows have been computed so far."""
+        return sum(row is not None for row in self._rows)
+
+    def _fill_row(self, i: int) -> tuple[float, float, float, float]:
+        """Sample the exact solver at grid width ``i``; cache the row.
+
+        One pulse response serves the whole row: node 0 (the driver end)
+        gives the supply charge, the far node the received pulse.
+        """
+        transfer = self.transfer
+        w = self._w_list[i]
+        times = transfer._time_grid(w)
+        v = transfer.solver.pulse_response(times, w, 1.0)
+        v_far = v[:, transfer._far]
+        i_peak = int(np.argmax(v_far))
+        peak = float(v_far[i_peak])
+        if peak > 0.0:
+            above = np.flatnonzero(v_far >= 0.5 * peak)
+            wout = float(times[above[-1]] - times[above[0]])
+        else:
+            wout = 0.0
+        # Supply charge: integral of driver current during the high
+        # phase, i(t) = (1 - v_node0(t)) / r_up for unit amplitude.
+        high = times <= w
+        i_drv = (1.0 - v[high, 0]) / transfer.r_drive
+        charge = float(np.trapezoid(i_drv, times[high]))
+        row = (peak, wout, float(times[i_peak]), charge)
+        self._rows[i] = row
+        return row
+
+    def at(self, width: float) -> tuple[float, float, float, float]:
+        """(peak_ratio, width_out, t_peak, charge_in) at ``width`` > 0.
+
+        One bracket search for all four quantities; the per-bit loop of
+        :meth:`repro.circuit.link.SRLRLink.transmit` reads them together.
+        Widths outside the grid clamp to its first or last row.
+        """
         ws = self._w_list
-        ys = self._tables_list[id(table)]
+        rows = self._rows
         if width <= ws[0]:
-            return ys[0]
+            return rows[0] or self._fill_row(0)
         if width >= ws[-1]:
-            return ys[-1]
+            return rows[-1] or self._fill_row(len(ws) - 1)
         i = bisect_right(ws, width)
-        w0, w1 = ws[i - 1], ws[i]
-        y0, y1 = ys[i - 1], ys[i]
-        return y0 + (y1 - y0) * (width - w0) / (w1 - w0)
+        p0, o0, t0, q0 = rows[i - 1] or self._fill_row(i - 1)
+        p1, o1, t1, q1 = rows[i] or self._fill_row(i)
+        dw = width - ws[i - 1]
+        span = ws[i] - ws[i - 1]
+        return (
+            p0 + (p1 - p0) * dw / span,
+            o0 + (o1 - o0) * dw / span,
+            t0 + (t1 - t0) * dw / span,
+            q0 + (q1 - q0) * dw / span,
+        )
 
     def peak_ratio(self, width: float) -> float:
         if width <= 0.0:
             return 0.0
-        return self._interp(self._peaks, width)
+        return self.at(width)[0]
 
     def width_out(self, width: float) -> float:
         if width <= 0.0:
             return 0.0
-        return self._interp(self._wouts, width)
+        return self.at(width)[1]
 
     def t_peak(self, width: float) -> float:
-        return self._interp(self._tpeaks, max(width, self.w_min))
+        return self.at(width)[2]
 
     def charge_in(self, width: float) -> float:
         if width <= 0.0:
             return 0.0
-        return self._interp(self._charges, width)
+        return self.at(width)[3]
 
 
 def log_quantize(value: float, per_decade: int = 16) -> float:

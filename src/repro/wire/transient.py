@@ -25,6 +25,11 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.wire.ladder import LadderNetwork
 
+#: Exponents at or below this give exp(x) == +0.0 in float64: the
+#: smallest subnormal is exp(-744.44), and exp(x) rounds to +0.0 from
+#: x = -745.14 down.
+_EXP_UNDERFLOW = -746.0
+
 
 @dataclass(frozen=True)
 class _Modes:
@@ -93,7 +98,15 @@ class TransientSolver:
         m = self._modes
         v_ss = m.v_unit_ss * u
         modal0 = m.modes_inv @ (v0 - v_ss)
-        decay = np.exp(np.outer(times, m.eigenvalues))  # (t, n)
+        exponent = np.outer(times, m.eigenvalues)  # (t, n)
+        # exp(x) rounds to +0.0 for x <= -746, but numpy's underflow path
+        # costs ~10x a normal evaluation; fast modes decay there within
+        # picoseconds, so most of the matrix is such entries.  Evaluate
+        # exp(0) in their place and write the exact +0.0 back.
+        underflow = exponent <= _EXP_UNDERFLOW
+        np.putmask(exponent, underflow, 0.0)
+        decay = np.exp(exponent)
+        np.putmask(decay, underflow, 0.0)
         return v_ss[None, :] + decay * modal0[None, :] @ m.modes_fwd.T
 
     def step_response(self, times: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
@@ -106,16 +119,16 @@ class TransientSolver:
     ) -> np.ndarray:
         """Response from rest to a rectangular pulse of ``width`` seconds.
 
-        By linearity this is step(t) - step(t - width).
+        By linearity this is step(t) - step(t - width); the shifted step
+        is zero before the falling edge, so only later times evaluate it.
         """
         if width <= 0.0:
             raise ConfigurationError(f"pulse width must be positive, got {width}")
         times = np.asarray(times, dtype=float)
-        rising = self.step_response(times, amplitude)
-        shifted = np.clip(times - width, 0.0, None)
-        falling = self.step_response(shifted, amplitude)
-        falling[times < width] = 0.0
-        return rising - falling
+        response = self.step_response(times, amplitude)
+        late = times >= width
+        response[late] -= self.step_response(times[late] - width, amplitude)
+        return response
 
     def simulate_piecewise(
         self,

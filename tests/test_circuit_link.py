@@ -163,3 +163,87 @@ def test_transmit_roundtrip_property(robust_link, bits):
 def test_prbs15_long_run_error_free(robust_link):
     bits = PrbsGenerator(15).bits(2000)
     assert robust_link.transmit(bits, T_BIT).ok
+
+
+# --- per-die energy pins ---------------------------------------------------------------
+#
+# Bitwise pins of the energy accounting on sampled Fig. 6 dies (swing
+# 0.28 V, default stress pattern at 4.1 Gb/s).  They equal recomputing
+# each repeater's internal energy per fired pulse, so a caching or
+# reordering change in the per-bit path that moves them by one ulp fails
+# here.  Columns: transmit energy, then energy_per_pulse() wire /
+# internal / total.
+
+ENERGY_PINS = {
+    ("robust", 1): (  # clean die
+        "0x1.40f35db6a5c4dp-34",
+        "0x1.7c29140285930p-41",
+        "0x1.afe2e4d17dc66p-43",
+        "0x1.e821cd36e504ap-41",
+    ),
+    ("robust", 6): (  # the isolated pulse collapses mid-link
+        "0x1.0fed792385c2bp-35",
+        "0x1.0a35bc7bfeda0p-43",
+        "0x1.58272e218940ap-46",
+        "0x1.353aa24030021p-43",
+    ),
+    ("robust", 12): (
+        "0x1.46a6eb7a34db3p-34",
+        "0x1.84e90102dba4cp-41",
+        "0x1.b0197de3996e6p-43",
+        "0x1.f0ef607bc2006p-41",
+    ),
+    ("straightforward", 0): (
+        "0x1.4e10a66fc7505p-35",
+        "0x1.a8269a3592363p-43",
+        "0x1.8ad8bd8108d45p-45",
+        "0x1.056e64caea35ap-42",
+    ),
+    ("straightforward", 6): (  # stuck die
+        "0x0.0p+0",
+        "0x1.0a5bed17e8fa9p-44",
+        "0x0.0p+0",
+        "0x1.0a5bed17e8fa9p-44",
+    ),
+    ("straightforward", 11): (  # collapses at the first stage
+        "0x1.ff8145ce57a74p-37",
+        "0x1.e0f42d3c82885p-45",
+        "0x0.0p+0",
+        "0x1.e0f42d3c82885p-45",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fig6_designs():
+    from repro.circuit import straightforward_design
+
+    return {
+        "robust": robust_design(nominal_swing=0.28),
+        "straightforward": straightforward_design(nominal_swing=0.28),
+    }
+
+
+@pytest.mark.parametrize("die", sorted(ENERGY_PINS), ids=lambda d: f"{d[0]}-{d[1]}")
+def test_energy_bitwise_pinned_on_sampled_dies(fig6_designs, die):
+    from repro.circuit.srlr import StageFailure
+    from repro.mc.engine import default_stress_pattern
+    from repro.tech.variation import monte_carlo_sample
+
+    name, seed = die
+    design = fig6_designs[name]
+    link = SRLRLink(design, monte_carlo_sample(TECH, seed))
+    result = link.transmit(default_stress_pattern(), T_BIT)
+    breakdown = link.energy_per_pulse()
+    got = (
+        result.energy,
+        breakdown["wire"],
+        breakdown["internal"],
+        breakdown["total"],
+    )
+    assert tuple(x.hex() for x in got) == ENERGY_PINS[die]
+    failures = {r.failure for r in link.propagate_pulse()}
+    if die == ("straightforward", 6):
+        assert result.stuck
+    if die in {("robust", 6), ("straightforward", 11)}:
+        assert StageFailure.COLLAPSED in failures

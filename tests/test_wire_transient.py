@@ -147,3 +147,87 @@ def test_response_passivity_property(r_drive, width_ps):
     v = solver.pulse_response(times, width_ps * PS, 1.0)
     assert v.max() <= 1.0 + 1e-9
     assert v.min() >= -1e-9
+
+
+# --- underflow cut ---------------------------------------------------------------------
+#
+# evolve() skips exp() where lambda * t <= -746, whose value is exactly
+# +0.0.  The reference below is the plain formula with every exponential
+# evaluated, so any entry the cut gets wrong shows up as an inequality.
+
+
+def _plain_evolve(solver, v0, u, times):
+    m = solver._modes
+    v_ss = m.v_unit_ss * u
+    modal0 = m.modes_inv @ (v0 - v_ss)
+    decay = np.exp(np.outer(times, m.eigenvalues))
+    return v_ss[None, :] + decay * modal0[None, :] @ m.modes_fwd.T
+
+
+def _plain_pulse(solver, times, width, amplitude):
+    v0 = np.zeros(solver.network.n_nodes)
+    rising = _plain_evolve(solver, v0, amplitude, times)
+    falling = _plain_evolve(solver, v0, amplitude, np.clip(times - width, 0.0, None))
+    falling[times < width] = 0.0
+    return rising - falling
+
+
+def _underflowing_times(solver):
+    """Short-pulse sampling plus times where only the slowest mode survives."""
+    lam = np.sort(solver._modes.eigenvalues)  # ascending: fastest first
+    tau = solver.slowest_time_constant
+    t_one_mode = 746.0 / -lam[-2]  # every mode but the slowest is 0.0
+    rng = np.random.default_rng(5)
+    return np.concatenate(
+        [
+            np.linspace(0.0, 6 * tau, 500),
+            np.linspace(t_one_mode, 2 * t_one_mode, 50),
+            rng.uniform(0.0, 2 * t_one_mode, 100),  # unsorted
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "r_drive,c_load,length",
+    [(300.0, 0.0, 1 * MM), (80.0, 13e-15, 1 * MM), (1500.0, 2e-15, 2 * MM)],
+)
+def test_underflow_cut_is_bitwise_plain_formula(r_drive, c_load, length):
+    solver = TransientSolver(
+        build_ladder(reference_segment(TECH, length), r_drive, c_load)
+    )
+    times = _underflowing_times(solver)
+    lam = solver._modes.eigenvalues
+    exponent = np.outer(times, lam)
+    assert (exponent <= -746.0).mean() > 0.5  # the cut is exercised
+    # Past 746 / |second-slowest rate| every mode but the slowest is 0.0.
+    late = exponent[times >= 746.0 / -np.sort(lam)[-2]]
+    assert len(late) and np.count_nonzero(np.exp(late)) == len(late)
+
+    n = solver.network.n_nodes
+    v0 = np.random.default_rng(9).uniform(-0.2, 0.8, n)
+    assert np.array_equal(
+        solver.evolve(v0, 0.4, times), _plain_evolve(solver, v0, 0.4, times)
+    )
+    assert np.array_equal(
+        solver.step_response(times, 0.7),
+        _plain_evolve(solver, np.zeros(n), 0.7, times),
+    )
+    for width in (10 * PS, 150 * PS, 500 * PS):
+        assert np.array_equal(
+            solver.pulse_response(times, width, 0.6),
+            _plain_pulse(solver, times, width, 0.6),
+        )
+    # Decay towards u = 0 while the slowest mode itself crosses into
+    # subnormals and underflow: the answers are tiny but not all zero.
+    t_edge = np.linspace(700.0, 760.0, 121) / -lam.max()
+    tail = solver.evolve(v0, 0.0, t_edge)
+    assert np.count_nonzero(tail) and not np.any(tail[-1])
+    assert np.array_equal(tail, _plain_evolve(solver, v0, 0.0, t_edge))
+
+
+def test_pulse_response_all_times_before_falling_edge(segment_1mm):
+    solver = TransientSolver(build_ladder(segment_1mm, r_drive=300.0))
+    times = np.linspace(0.0, 90 * PS, 40)
+    assert np.array_equal(
+        solver.pulse_response(times, 100 * PS, 1.0), solver.step_response(times, 1.0)
+    )
