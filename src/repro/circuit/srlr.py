@@ -454,11 +454,22 @@ class SRLRStage:
             return _TOO_WEAK
         if self.is_stuck:
             return _STUCK
-        t_trip = self.trip_time(in_swing)
-        if t_trip > in_dwell:
-            return _TOO_WEAK
-
-        t_rise = self.rise_lag(in_swing) + self.t_intrinsic_rise
+        # trip_time and rise_lag inlined over one net discharge current.
+        current = self.net_discharge_current(in_swing)
+        if current <= 0.0:
+            # Both times are infinite: only an infinite dwell passes the
+            # trip check, and its output then collapses.
+            if in_dwell < math.inf:
+                return _TOO_WEAK
+            t_trip = t_rise = math.inf
+        else:
+            t_trip = self.design.c_node_x * self.dv_trip / current
+            if t_trip > in_dwell:
+                return _TOO_WEAK
+            t_rise = (
+                self.design.c_node_x * self.design.rise_sense_depth / current
+                + self.t_intrinsic_rise
+            )
         out_width = self.wx - (t_rise - self.t_fall)
         if out_width < self.design.min_output_width:
             return StageOutput(

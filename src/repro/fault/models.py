@@ -74,9 +74,15 @@ class LinkFaultState:
 class _ConstantBerState(LinkFaultState):
     def __init__(self, ber: float) -> None:
         self.ber = ber
+        #: flit_bits -> probability; a pure function of (ber, flit_bits).
+        self._probability: dict[int, float] = {}
 
     def flit_error_probability(self, cycle: int, flit_bits: int) -> float:
-        return flit_error_probability(self.ber, flit_bits)
+        p = self._probability.get(flit_bits)
+        if p is None:
+            p = flit_error_probability(self.ber, flit_bits)
+            self._probability[flit_bits] = p
+        return p
 
 
 class _EpisodeState(LinkFaultState):

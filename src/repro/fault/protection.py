@@ -19,7 +19,9 @@ Three schemes are selectable per run (plus ``"none"``):
     for datapath bandwidth).  A transfer whose ack has not arrived within
     the timeout is reinjected with exponential backoff; after
     ``max_packet_retries`` the transfer is abandoned (counted as failed).
-    This is the :class:`EndToEndTracker` below.
+    This is the :class:`EndToEndTracker` below; its retry timers sit in
+    a deadline heap, so a cycle with no timer due costs O(1) and a retry
+    O(log n) in the outstanding transfers.
 
 ``reroute``
     ``crc`` plus link-disable: a link that gives up
@@ -121,7 +123,6 @@ class _Transfer:
     size_flits: int
     routing: str
     first_inject: int
-    last_send: int
     pending: set[NodeId]
     retries: int = 0
     last_delivery: int = 0
@@ -159,9 +160,21 @@ class EndToEndTracker:
             # Worst-case request path + ack path + queueing slack.
             diameter = topology.diameter
             self.base_timeout = 4 * diameter * self._hop_cycles + 32
+        #: One timeout per retry count (a transfer never passes
+        #: ``max_packet_retries``), each from the one formula, ``_timeout``.
+        self._timeouts = [
+            self._timeout(retries)
+            for retries in range(config.max_packet_retries + 1)
+        ]
         self._transfers: dict[int, _Transfer] = {}
         self._transfer_of_packet: dict[int, int] = {}
         self._next_tid = 0
+        #: (deadline, tid) min-heap of retry timers, one entry per
+        #: outstanding transfer: a timer is popped before its transfer is
+        #: re-armed.  An entry goes stale when its transfer completes,
+        #: fails or has no pending destination left; stale entries are
+        #: dropped when they reach the top.
+        self._deadlines: list[tuple[int, int]] = []
         #: (due_cycle, seq, tid, dest, delivery_cycle) min-heap.
         self._acks: list[tuple[int, int, int, NodeId, int]] = []
         self._ack_seq = 0
@@ -182,10 +195,10 @@ class EndToEndTracker:
             size_flits=packet.size_flits,
             routing=packet.routing,
             first_inject=cycle,
-            last_send=cycle,
             pending=set(packet.dests),
         )
         self._transfer_of_packet[packet.packet_id] = tid
+        heapq.heappush(self._deadlines, (cycle + self._timeouts[0], tid))
 
     def on_delivery(
         self, packet: Packet, dest: NodeId, cycle: int, corrupted: bool
@@ -237,19 +250,23 @@ class EndToEndTracker:
                         retries=transfer.retries,
                     )
                 )
-        for tid in sorted(self._transfers):
+        deadlines = self._deadlines
+        due = []
+        while deadlines and deadlines[0][0] <= cycle:
+            _deadline, tid = heapq.heappop(deadlines)
+            if self._armed(tid):
+                due.append(tid)
+        # Ascending tid order, whatever the deadlines: a call after
+        # skipped cycles finds several cycles' timers due at once, and
+        # the order fixes the reinjected packet ids and NIC offer order.
+        for tid in sorted(due):
             transfer = self._transfers[tid]
-            if not transfer.pending:
-                continue  # delivered; ack in flight
-            if cycle - transfer.last_send < self._timeout(transfer.retries):
-                continue
             self.events += 1
             if transfer.retries >= self.config.max_packet_retries:
                 del self._transfers[tid]
                 self.stats.failed_transfers += 1
                 continue
             transfer.retries += 1
-            transfer.last_send = cycle
             self.stats.packet_retries += 1
             packet = Packet(
                 src=transfer.src,
@@ -259,7 +276,15 @@ class EndToEndTracker:
                 routing=transfer.routing,
             )
             self._transfer_of_packet[packet.packet_id] = tid
+            heapq.heappush(
+                deadlines, (cycle + self._timeouts[transfer.retries], tid)
+            )
             self.reinject(packet)
+
+    def _armed(self, tid: int) -> bool:
+        """True when transfer ``tid`` still waits on its retry timer."""
+        transfer = self._transfers.get(tid)
+        return transfer is not None and bool(transfer.pending)
 
     # --- drain bookkeeping ------------------------------------------------------------
 
@@ -268,14 +293,10 @@ class EndToEndTracker:
 
     def next_event_cycle(self) -> int | None:
         """Earliest future cycle at which the tracker will act."""
-        candidates = []
-        if self._acks:
-            candidates.append(self._acks[0][0])
-        for transfer in self._transfers.values():
-            if transfer.pending:
-                candidates.append(
-                    transfer.last_send + self._timeout(transfer.retries)
-                )
+        deadlines = self._deadlines
+        while deadlines and not self._armed(deadlines[0][1]):
+            heapq.heappop(deadlines)
+        candidates = [heap[0][0] for heap in (self._acks, deadlines) if heap]
         return min(candidates) if candidates else None
 
     def _timeout(self, retries: int) -> int:

@@ -1052,8 +1052,11 @@ class FastNocSimulator(NocSimulator):
     def _network_busy(self) -> bool:
         if self._inflight_total or self._nic_staged or self._buffered_total:
             return True
-        for nic in self._nic_list:
-            if nic.backlog:
+        # Every NIC with a backlog is in _active_nics (any offer adds it;
+        # only an empty queue and worm drop it), so the rest need no poll.
+        nic_list = self._nic_list
+        for r in self._active_nics:
+            if nic_list[r].backlog:
                 return True
         if self.fault_layer is not None and self.fault_layer.busy():
             return True

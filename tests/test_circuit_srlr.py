@@ -80,6 +80,27 @@ def test_transfer_too_weak_with_short_dwell(stage):
     assert out.failure is StageFailure.TOO_WEAK
 
 
+@pytest.mark.parametrize("swing", [-0.1, 0.02, 0.05, 0.2, 0.27, 0.3, 0.34])
+@pytest.mark.parametrize("dwell", [1 * PS, 60 * PS, 180 * PS, float("inf")])
+def test_transfer_agrees_with_trip_time_and_rise_lag(stage, swing, dwell):
+    """transfer inlines both times over one current: same floats, and an
+    infinite dwell below the floor still reaches the (collapsed) width
+    check with infinite times."""
+    out = stage.transfer(swing, dwell)
+    t_trip = stage.trip_time(swing)
+    if t_trip > dwell:
+        assert out.failure is StageFailure.TOO_WEAK
+        return
+    t_rise = stage.rise_lag(swing) + stage.t_intrinsic_rise
+    assert out.t_trip == t_trip
+    assert out.out_width == max(stage.wx - (t_rise - stage.t_fall), 0.0)
+    if out.fired:
+        assert out.stage_delay == t_trip + t_rise
+    else:
+        assert out.failure is StageFailure.COLLAPSED
+        assert out.stage_delay == float("inf")
+
+
 def test_transfer_disabled_stage_never_fires(robust, nominal):
     gated = SRLRStage(robust, 0, nominal, enabled=False)
     out = gated.transfer(0.35, 200 * PS)
